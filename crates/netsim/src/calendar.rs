@@ -362,7 +362,7 @@ mod tests {
         ScheduledEvent {
             time: SimTime::from_secs(time),
             seq,
-            event: Event::ChannelTick,
+            event: Event::Stop,
         }
     }
 

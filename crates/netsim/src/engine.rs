@@ -1087,7 +1087,6 @@ impl<S: StackSlot> SimCore<S> {
                 addressed,
             } => self.remote_deliver(to, frame, addressed),
             Event::FluidEpoch { gen } => self.fluid_epoch(gen),
-            Event::ChannelTick => { /* channel state is sampled lazily */ }
             Event::Stop => unreachable!("Stop handled in run()"),
         }
     }

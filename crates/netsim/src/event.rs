@@ -94,8 +94,6 @@ pub enum Event {
         /// sees `on_promiscuous`.
         addressed: bool,
     },
-    /// Re-evaluate a shadowed link's fading state.
-    ChannelTick,
     /// End of the simulated run.
     Stop,
 }
@@ -288,7 +286,7 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(t(3.0), Event::Stop);
-        q.schedule(t(1.0), Event::ChannelTick);
+        q.schedule(t(1.0), Event::Stop);
         q.schedule(t(2.0), Event::Stop);
         let times: Vec<f64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_secs())
@@ -373,8 +371,8 @@ mod tests {
         let mut heap = EventQueue::new();
         let mut cal = EventQueue::calendar(3.6e-4);
         for &t in &times {
-            heap.schedule(SimTime::from_secs(t), Event::ChannelTick);
-            cal.schedule(SimTime::from_secs(t), Event::ChannelTick);
+            heap.schedule(SimTime::from_secs(t), Event::Stop);
+            cal.schedule(SimTime::from_secs(t), Event::Stop);
         }
         loop {
             match (heap.pop(), cal.pop()) {

@@ -49,18 +49,37 @@ pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packe
 /// A route request is uniquely identified by `(source, destination,
 /// broadcast_id)` (paper §III-B).  Entries expire after `ttl` so the table
 /// stays small over a long run.
+///
+/// Expiry is amortised: the table keeps a lower bound on its oldest
+/// timestamp and sweeps only once that bound has aged past the TTL.  Age is
+/// monotone in the timestamp, so while the bound is young no entry can have
+/// expired, and every call answers exactly as an eager sweep on each
+/// `first_time` would.  The bound holds because simulated time never runs
+/// backwards: `first_time` stores `now`, which is never below it.
 #[derive(Debug)]
 pub struct SeenTable {
     ttl_secs: f64,
+    /// No stored timestamp is older than this.
+    oldest: SimTime,
     entries: FxHashMap<(NodeId, NodeId, BroadcastId), SimTime>,
+    #[cfg(test)]
+    sweeps: u64,
 }
 
 impl SeenTable {
-    /// Table whose entries live for `ttl_secs` seconds.
+    /// Table whose entries live for `ttl_secs` seconds.  Panics unless the
+    /// TTL is finite and positive.
     pub fn new(ttl_secs: f64) -> Self {
+        assert!(
+            ttl_secs.is_finite() && ttl_secs > 0.0,
+            "seen-table TTL must be finite and positive, got {ttl_secs}"
+        );
         SeenTable {
             ttl_secs,
+            oldest: SimTime::ZERO,
             entries: FxHashMap::default(),
+            #[cfg(test)]
+            sweeps: 0,
         }
     }
 
@@ -94,10 +113,26 @@ impl SeenTable {
         self.entries.is_empty()
     }
 
+    /// Drop expired entries, sweeping only when the oldest one may have
+    /// expired; the bound is recomputed from the survivors.
     fn gc(&mut self, now: SimTime) {
         let ttl = self.ttl_secs;
-        self.entries
-            .retain(|_, &mut seen| now.saturating_since(seen).as_secs() < ttl);
+        if now.saturating_since(self.oldest).as_secs() < ttl {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.sweeps += 1;
+        }
+        let mut oldest = now;
+        self.entries.retain(|_, &mut seen| {
+            let keep = now.saturating_since(seen).as_secs() < ttl;
+            if keep {
+                oldest = oldest.min(seen);
+            }
+            keep
+        });
+        self.oldest = oldest;
     }
 }
 
@@ -206,6 +241,7 @@ impl Default for PacketBuffer {
 mod tests {
     use super::*;
     use manet_wire::{ConnectionId, PacketId, TcpSegment};
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -237,6 +273,86 @@ mod tests {
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(0.0)));
         // After the TTL, the same triple counts as new again.
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(6.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn seen_table_rejects_a_nan_ttl() {
+        SeenTable::new(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn seen_table_rejects_a_zero_ttl() {
+        SeenTable::new(0.0);
+    }
+
+    #[test]
+    fn seen_table_sweeps_are_amortised() {
+        let mut s = SeenTable::new(30.0);
+        for i in 0..10_000u32 {
+            let now = t(f64::from(i) * 1e-3);
+            s.first_time(NodeId((i % 50) as u16), NodeId(0), BroadcastId(i), now);
+        }
+        assert_eq!(s.len(), 10_000);
+        assert_eq!(s.sweeps, 0);
+    }
+
+    /// The eager reference: sweep the whole table on every call.
+    struct EagerSeen {
+        ttl_secs: f64,
+        entries: FxHashMap<(NodeId, NodeId, BroadcastId), SimTime>,
+    }
+
+    impl EagerSeen {
+        fn first_time(&mut self, key: (NodeId, NodeId, BroadcastId), now: SimTime) -> bool {
+            let ttl = self.ttl_secs;
+            self.entries
+                .retain(|_, &mut seen| now.saturating_since(seen).as_secs() < ttl);
+            self.entries.insert(key, now).is_none()
+        }
+    }
+
+    const TTL: f64 = 4.0;
+
+    /// Gaps between calls: repeats, sub-TTL steps, and steps at, just under
+    /// and just over the TTL.
+    fn gap(kind: u8, frac: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => frac * TTL,
+            2 => TTL - 1e-9,
+            3 => TTL,
+            4 => TTL + 1e-9,
+            _ => TTL / 4.0,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn amortised_expiry_matches_the_eager_sweep(
+            calls in proptest::collection::vec((0u8..4, 0u32..3, 0u8..6, 0.0f64..1.0), 1..80)
+        ) {
+            let mut fast = SeenTable::new(TTL);
+            let mut eager = EagerSeen { ttl_secs: TTL, entries: FxHashMap::default() };
+            let mut now = 0.0;
+            for (src, id, kind, frac) in calls {
+                now += gap(kind, frac);
+                let key = (NodeId(u16::from(src)), NodeId(9), BroadcastId(id));
+                prop_assert_eq!(
+                    fast.first_time(key.0, key.1, key.2, t(now)),
+                    eager.first_time(key, t(now)),
+                    "first_time at t={}", now
+                );
+                prop_assert_eq!(fast.len(), eager.entries.len());
+                for s in 0..4 {
+                    for i in 0..3 {
+                        let k = (NodeId(s), NodeId(9), BroadcastId(i));
+                        prop_assert_eq!(fast.contains(k.0, k.1, k.2), eager.entries.contains_key(&k));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
