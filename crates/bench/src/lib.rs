@@ -807,7 +807,8 @@ pub fn bench_points_json(
              \"queue_pushes\": {}, \"queue_pops\": {}, \"queue_max_occupancy\": {}, \
              \"calendar_resizes\": {}, \"payload_clones_avoided\": {}, \
              \"payload_deep_clones\": {}, \"neighbor_queries\": {}, \
-             \"candidates_per_query\": {:.1}}}{}\n",
+             \"candidates_per_query\": {:.1}, \"neighbor_list_rebuilds\": {}, \
+             \"neighbor_exact_checks\": {}}}{}\n",
             p.n,
             p.queue,
             p.events,
@@ -822,6 +823,8 @@ pub fn bench_points_json(
             e.payload_deep_clones,
             e.neighbor_queries,
             e.mean_candidates_per_query(),
+            e.neighbor_list_rebuilds,
+            e.neighbor_exact_checks,
             if i + 1 == points.len() { "" } else { "," },
         ));
     }

@@ -285,7 +285,8 @@ pub enum NeighborIndex {
     /// results are exactly those of the brute-force scan.
     #[default]
     Grid,
-    /// Scan every node on every query — O(N) per transmission.  Kept for
+    /// Scan every node on every query — O(N) per transmit-path
+    /// neighbour-list rebuild and per stack neighbour lookup.  Kept for
     /// equivalence tests and as the baseline of the `scale_nodes` bench.
     BruteForce,
 }
@@ -388,11 +389,20 @@ impl SimConfig {
         if self.num_nodes == 0 {
             return Err("num_nodes must be at least 1".into());
         }
-        if !(self.field_width > 0.0 && self.field_height > 0.0) {
-            return Err("field dimensions must be positive".into());
+        if !(positive_finite(self.field_width) && positive_finite(self.field_height)) {
+            return Err("field dimensions must be positive and finite".into());
         }
-        if self.radio.range_m <= 0.0 {
-            return Err("radio range must be positive".into());
+        if !positive_finite(self.radio.range_m) {
+            return Err("radio range must be positive and finite".into());
+        }
+        // Carrier sense must reach at least as far as reception: the
+        // transmit path finds receivers among the carrier-sensed nodes.
+        let cs_factor = self.radio.carrier_sense_factor;
+        if !(cs_factor >= 1.0 && cs_factor.is_finite()) {
+            return Err("carrier_sense_factor must be finite and at least 1".into());
+        }
+        if !(self.mobility.min_speed.is_finite() && self.mobility.max_speed.is_finite()) {
+            return Err("mobility speeds must be finite".into());
         }
         if self.mobility.max_speed < self.mobility.min_speed {
             return Err("max_speed must be >= min_speed".into());
@@ -418,9 +428,7 @@ impl SimConfig {
         if self.duration.as_secs() <= 0.0 {
             return Err("duration must be positive".into());
         }
-        if self.neighbor_index == NeighborIndex::Grid
-            && !(self.grid_slack_m > 0.0 && self.grid_slack_m.is_finite())
-        {
+        if self.neighbor_index == NeighborIndex::Grid && !positive_finite(self.grid_slack_m) {
             return Err("grid_slack_m must be positive and finite".into());
         }
         if let Some(jam) = &self.jamming {
@@ -524,6 +532,11 @@ impl SimConfig {
         config.field_height = side;
         config
     }
+}
+
+/// True for a finite value above zero (false for NaN).
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 #[cfg(test)]
@@ -690,6 +703,41 @@ mod tests {
         assert!(c.validate().is_err());
         c.neighbor_index = NeighborIndex::BruteForce;
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_geometry_and_speeds_are_rejected() {
+        let cases: [(&str, fn(&mut SimConfig)); 9] = [
+            ("NaN range", |c| c.radio.range_m = f64::NAN),
+            ("infinite range", |c| c.radio.range_m = f64::INFINITY),
+            ("NaN max_speed", |c| c.mobility.max_speed = f64::NAN),
+            ("NaN min_speed", |c| c.mobility.min_speed = f64::NAN),
+            ("infinite max_speed", |c| {
+                c.mobility.max_speed = f64::INFINITY
+            }),
+            ("infinite field width", |c| c.field_width = f64::INFINITY),
+            ("NaN field width", |c| c.field_width = f64::NAN),
+            ("infinite field height", |c| c.field_height = f64::INFINITY),
+            ("NaN field height", |c| c.field_height = f64::NAN),
+        ];
+        for (what, mutate) in cases {
+            let mut c = SimConfig::default();
+            mutate(&mut c);
+            assert!(c.validate().is_err(), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn carrier_sense_factor_below_one_or_non_finite_is_rejected() {
+        for factor in [0.5, 0.999, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SimConfig::default();
+            c.radio.carrier_sense_factor = factor;
+            assert!(c.validate().is_err(), "factor {factor} must be rejected");
+        }
+        let mut c = SimConfig::default();
+        c.radio.carrier_sense_factor = 1.0;
+        c.validate()
+            .expect("carrier sense equal to the range is valid");
     }
 
     #[test]

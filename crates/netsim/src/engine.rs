@@ -21,6 +21,12 @@
 //!   and stay trace-equivalent (the equivalence tests rely on this).  Cells
 //!   carry the anchor inline, so the query prefilters candidates by anchor
 //!   distance over contiguous memory before any kinematic state is touched.
+//! * per-node time-bounded **neighbour lists** (see `crate::neighbors`): a
+//!   transmission resolves its receiver and busy sets from the sender's list
+//!   of nodes within carrier-sense range + skin, evaluating positions only
+//!   for entries near a circle.  A list is rebuilt through the grid (or the
+//!   full scan) once `2·v·(now − built)` passes the skin, `v` being the
+//!   largest leg speed assigned so far, so resolution stays exact.
 //! * a dense precomputed per-leg kinematics table (unit direction and leg
 //!   length computed once per leg change, not per evaluation) behind a
 //!   per-(node, time) position cache for repeated same-instant lookups.
@@ -51,6 +57,7 @@ use crate::geometry::Position;
 use crate::grid::SpatialGrid;
 use crate::mac::{airtime, InFlight, MacState, RxInterval};
 use crate::mobility::{MobilityModel, Waypoint};
+use crate::neighbors::{NeighborList, Radii};
 use crate::node::{Ctx, NodeStack, TimerToken};
 use crate::radio::LinkDynamics;
 use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder};
@@ -158,6 +165,8 @@ struct PerfCells {
     position_cache_misses: Cell<u64>,
     payload_clones_avoided: Cell<u64>,
     payload_deep_clones: Cell<u64>,
+    neighbor_list_rebuilds: Cell<u64>,
+    neighbor_exact_checks: Cell<u64>,
 }
 
 fn inc(c: &Cell<u64>) {
@@ -166,6 +175,16 @@ fn inc(c: &Cell<u64>) {
 
 fn add(c: &Cell<u64>, k: u64) {
     c.set(c.get() + k);
+}
+
+/// Fold a newly assigned leg speed into the running maximum.  A NaN speed
+/// poisons the bound for good, so every neighbour list rebuilds on use.
+fn fold_speed(max: f64, speed: f64) -> f64 {
+    if max.is_nan() || speed.is_nan() {
+        f64::NAN
+    } else {
+        max.max(speed)
+    }
 }
 
 impl PerfCells {
@@ -179,6 +198,8 @@ impl PerfCells {
             position_cache_misses: self.position_cache_misses.get(),
             payload_clones_avoided: self.payload_clones_avoided.get(),
             payload_deep_clones: self.payload_deep_clones.get(),
+            neighbor_list_rebuilds: self.neighbor_list_rebuilds.get(),
+            neighbor_exact_checks: self.neighbor_exact_checks.get(),
             // Everything else (event-queue counters, shard counters) is
             // filled in by `SimCore::finalize`.
             ..EnginePerf::default()
@@ -238,9 +259,15 @@ pub struct World {
     recorder: Recorder,
     motions: Vec<NodeMotion>,
     /// Dense precomputed per-leg kinematics, mirroring `motions` (see
-    /// [`Kinematics`]); the transmit-path candidate scan evaluates positions
-    /// through this array without touching the position cache.
+    /// [`Kinematics`]); transmit-path neighbour-list resolution evaluates
+    /// positions through this array without touching the position cache.
     kin: Vec<Kinematics>,
+    /// Largest leg speed assigned so far: no node has moved faster, which
+    /// bounds how stale a neighbour list may be.  Only grows.
+    max_speed: f64,
+    /// Per-node neighbour lists of the transmit path, indexed by node.
+    /// Empty until the first transmission, so set-up does no per-node work.
+    lists: Vec<NeighborList>,
     pub(crate) macs: Vec<MacState>,
     link_dynamics: LinkDynamics,
     mobility: Box<dyn MobilityModel + Send>,
@@ -327,6 +354,7 @@ impl World {
         let p = self.position_of(node);
         let range = self.config.radio.range_m;
         let range_sq = range * range;
+        inc(&self.perf.neighbor_queries);
         self.query_range(p, range, |other| {
             if other != node && self.position_of(other).distance_sq(p) <= range_sq {
                 out.push(other);
@@ -346,9 +374,8 @@ impl World {
     /// Visit every candidate node for a range query around `center`: a
     /// superset of the nodes within `radius`, which the caller must filter by
     /// exact distance.  Uses the spatial grid when enabled, otherwise scans
-    /// all nodes.
+    /// all nodes.  Callers count the range resolution this serves.
     fn query_range(&self, center: Position, radius: f64, mut f: impl FnMut(NodeId)) {
-        inc(&self.perf.neighbor_queries);
         match &self.grid {
             Some(grid) => {
                 self.grid_sync();
@@ -392,6 +419,54 @@ impl World {
                 g.refresh_queue.push(Reverse((due, node, gen)));
             }
         }
+    }
+
+    /// Resolve the nodes within carrier-sense range of `node`, which sits at
+    /// `pos`, from its neighbour list: `visit(world, other, receives)` in id
+    /// order, `receives` marking transmission range.  The list is rebuilt
+    /// through [`World::query_range`] first when it has expired.  Counts one
+    /// neighbour query.
+    fn resolve_neighbors(
+        &mut self,
+        node: NodeId,
+        pos: Position,
+        mut visit: impl FnMut(&World, NodeId, bool),
+    ) {
+        inc(&self.perf.neighbor_queries);
+        if self.lists.is_empty() {
+            let n = usize::from(self.config.num_nodes);
+            self.lists.resize_with(n, NeighborList::default);
+        }
+        let mut list = std::mem::take(&mut self.lists[node.index()]);
+        let radii = Radii {
+            range: self.config.radio.range_m,
+            cs: self.config.radio.carrier_sense_range(),
+        };
+        let now = self.now;
+        // Direct kinematic evaluation: the per-(node, time) position cache
+        // never hits inside one resolution (every entry is distinct), so
+        // skip its read/write traffic.
+        let dist_sq = |other: NodeId| self.kin[other.index()].position_at(now).distance_sq(pos);
+        let delta = match list.drift(now, self.max_speed) {
+            Some(delta) => delta,
+            None => {
+                inc(&self.perf.neighbor_list_rebuilds);
+                let reach = radii.list_reach();
+                list.rebuild(now, reach, |push| {
+                    self.query_range(pos, reach, |other| {
+                        if other != node {
+                            push(other, dist_sq(other).sqrt());
+                        }
+                    });
+                });
+                0.0
+            }
+        };
+        let exact = list.resolve(delta, radii, dist_sq, |other, receives| {
+            visit(self, other, receives);
+        });
+        add(&self.perf.neighbor_exact_checks, exact);
+        self.lists[node.index()] = list;
     }
 
     /// Rebin `node` after its waypoint leg changed and restart its
@@ -756,10 +831,12 @@ impl<S: StackSlot> SimCore<S> {
         let mut rngs = rngs;
         let mut mobility = mobility;
         let mut motions = Vec::with_capacity(config.num_nodes as usize);
+        let mut max_speed = 0.0_f64;
         let mut queue = EventQueue::for_config(&config);
         for i in 0..config.num_nodes as usize {
             let pos = mobility.initial_position(i, rngs.mobility());
             let leg = mobility.next_leg(i, pos, SimTime::ZERO, 0, rngs.mobility());
+            max_speed = fold_speed(max_speed, leg.speed);
             if leg.speed > 0.0 {
                 queue.schedule(
                     leg.arrival_time(),
@@ -849,6 +926,8 @@ impl<S: StackSlot> SimCore<S> {
             recorder,
             motions,
             kin,
+            max_speed,
+            lists: Vec::new(),
             macs,
             link_dynamics: LinkDynamics::new(),
             mobility,
@@ -1118,7 +1197,14 @@ impl<S: StackSlot> SimCore<S> {
                 },
             );
         }
-        self.world.kin[idx] = Kinematics::of(&leg);
+        let kin = Kinematics::of(&leg);
+        self.world.max_speed = fold_speed(self.world.max_speed, leg.speed);
+        // The speed bound assumes the new leg starts where the node is.  A
+        // mobility model that teleports breaks it, so drop every list.
+        if kin.position_at(self.world.now) != arrived_at {
+            self.world.lists.clear();
+        }
+        self.world.kin[idx] = kin;
         self.world.motions[idx] = NodeMotion {
             leg,
             epoch: new_epoch,
@@ -1337,54 +1423,34 @@ impl<S: StackSlot> SimCore<S> {
         }
 
         // Determine receivers (transmission range) and busy set (carrier-sense
-        // range) in one fused pass over the grid candidates: each candidate's
-        // position is evaluated exactly once, busy-set writes land in the
-        // dense `busy` array (`Cell`-based, so the whole pass runs inside the
-        // `&self` query closure with no intermediate candidate buffer).
+        // range) in one pass over the sender's neighbour list, in id order:
+        // busy-set writes land in the dense `busy` array (`Cell`-based, so
+        // they need no `&mut World`), and the receiver order — which fixes
+        // RNG consumption and callback order at TxEnd — is identical across
+        // neighbor-index strategies.
         let my_pos = self.world.position_of(node);
         // Foreground load feedback: the fluid layer subtracts measured packet
         // throughput from each region's capacity at the next epoch.
         if let Some(fluid) = self.world.fluid.as_deref_mut() {
             fluid.note_foreground(my_pos, u64::from(bytes));
         }
-        let range_sq = self.world.config.radio.range_m * self.world.config.radio.range_m;
-        let cs_range = self.world.config.radio.carrier_sense_range();
-        let cs_sq = cs_range * cs_range;
         let mut receivers = self.world.take_receiver_buf();
         let sharded = self.world.shard.is_some();
         let mut busy_touched = std::mem::take(&mut self.world.announce_scratch);
         busy_touched.clear();
-        {
-            let world = &self.world;
-            world.query_range(my_pos, cs_range, |other| {
-                if other == node {
-                    return;
+        self.world
+            .resolve_neighbors(node, my_pos, |world, other, receives| {
+                let b = &world.busy[other.index()];
+                if b.get() < end {
+                    b.set(end);
                 }
-                // Direct kinematic evaluation: the per-(node, time) position
-                // cache never hits inside a single candidate scan (every
-                // candidate is distinct), so skip its read/write traffic.
-                let d_sq = world.kin[other.index()]
-                    .position_at(world.now)
-                    .distance_sq(my_pos);
-                if d_sq <= cs_sq {
-                    let b = &world.busy[other.index()];
-                    if b.get() < end {
-                        b.set(end);
-                    }
-                    if sharded {
-                        busy_touched.push(other);
-                    }
+                if sharded {
+                    busy_touched.push(other);
                 }
-                if d_sq <= range_sq {
+                if receives {
                     receivers.push(other);
                 }
             });
-        }
-        // Grid candidates arrive in cell order and busy-set updates above
-        // commute, but receiver order fixes RNG consumption and callback
-        // order at TxEnd — sort it so runs are identical across
-        // neighbor-index strategies.
-        receivers.sort_unstable();
         // Register reception intervals (for collision detection).
         for &r in &receivers {
             let m = &mut self.world.macs[r.index()];
@@ -2467,6 +2533,132 @@ mod tests {
         // Static chain: every node binned once at setup, never rebinned after.
         assert_eq!(perf.grid_refreshes, 0);
         assert!(perf.position_cache_hit_rate() >= 0.0);
+    }
+
+    #[test]
+    fn static_neighbour_lists_are_built_once_per_transmitter() {
+        // With no motion the speed bound is zero, so a list never expires:
+        // each of the three transmitting nodes builds exactly one, and the
+        // 200 m spacing keeps every entry clear of both circles.
+        let (sim, _log) = chain_sim(4, 200.0);
+        let perf = sim.run().engine_perf();
+        assert_eq!(perf.neighbor_queries, 3, "one hop per transmission");
+        assert_eq!(perf.neighbor_list_rebuilds, 3);
+        assert_eq!(perf.neighbor_exact_checks, 0);
+    }
+
+    /// Step `sim` through `secs` simulated seconds and, every few
+    /// milliseconds, resolve every node's neighbour list and compare it with
+    /// a direct scan over all nodes.  Lists persist across steps, so they
+    /// are reused across leg changes exactly as on the transmit path.
+    fn assert_lists_match_a_direct_scan(mut sim: Simulator, secs: f64) -> EnginePerf {
+        sim.ensure_started();
+        let world = &sim.world;
+        let range = world.config.radio.range_m;
+        let cs = world.config.radio.carrier_sense_range();
+        let n = world.config.num_nodes;
+        let mut t = 0.0;
+        while t < secs {
+            t += 0.023;
+            let at = SimTime::from_secs(t);
+            sim.run_window(at);
+            let world = &mut sim.world;
+            world.now = at;
+            for i in 0..n {
+                let node = NodeId(i);
+                let pos = world.position_of(node);
+                let direct: Vec<(NodeId, bool)> = (0..n)
+                    .map(NodeId)
+                    .filter(|&other| other != node)
+                    .filter_map(|other| {
+                        let d_sq = world.kin[other.index()].position_at(at).distance_sq(pos);
+                        (d_sq <= cs * cs).then_some((other, d_sq <= range * range))
+                    })
+                    .collect();
+                let mut listed = Vec::new();
+                world.resolve_neighbors(node, pos, |_, other, receives| {
+                    listed.push((other, receives));
+                });
+                assert_eq!(listed, direct, "node {i} at t={t:.3}");
+            }
+        }
+        sim.world.engine_perf()
+    }
+
+    struct Idle;
+    impl NodeStack for Idle {
+        fn start(&mut self, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: TimerToken) {}
+        fn on_receive(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _packet: SharedPacket) {}
+        fn on_link_failure(&mut self, _c: &mut Ctx<'_>, _n: NodeId, _p: NetPacket) {}
+    }
+
+    /// Short random legs whose speed grows with the leg count (1, 5, 20,
+    /// then 40 m/s, the first two legs at most a few seconds long), so the
+    /// speed bound must rise while lists are live.
+    /// With `teleport`, each new leg starts at a random point instead of
+    /// where the node is.
+    struct Accelerating {
+        teleport: bool,
+    }
+
+    impl MobilityModel for Accelerating {
+        fn initial_position(&mut self, _idx: usize, rng: &mut dyn rand::RngCore) -> Position {
+            Position::new(rng.gen_range(0.0..700.0_f64), rng.gen_range(0.0..700.0_f64))
+        }
+        fn next_leg(
+            &mut self,
+            _idx: usize,
+            current: Position,
+            now: SimTime,
+            epoch: u64,
+            rng: &mut dyn rand::RngCore,
+        ) -> Waypoint {
+            let from = if self.teleport && epoch > 0 {
+                self.initial_position(0, rng)
+            } else {
+                current
+            };
+            let k = epoch.min(3) as usize;
+            let reach: f64 = [2.0, 10.0, 40.0, 40.0][k];
+            let to = Position::new(
+                (from.x + rng.gen_range(-reach..reach)).clamp(0.0, 700.0),
+                (from.y + rng.gen_range(-reach..reach)).clamp(0.0, 700.0),
+            );
+            Waypoint {
+                from,
+                to,
+                speed: [1.0, 5.0, 20.0, 40.0][k],
+                start: now,
+                epoch,
+            }
+        }
+    }
+
+    fn accelerating_sim(teleport: bool) -> Simulator {
+        let mut config = SimConfig::default();
+        config.num_nodes = 30;
+        config.duration = Duration::from_secs(30.0);
+        let stacks: Vec<Box<dyn NodeStack>> = (0..30)
+            .map(|_| Box::new(Idle) as Box<dyn NodeStack>)
+            .collect();
+        Simulator::new(config, Box::new(Accelerating { teleport }), stacks)
+    }
+
+    #[test]
+    fn neighbour_lists_stay_exact_as_leg_speeds_grow() {
+        let perf = assert_lists_match_a_direct_scan(accelerating_sim(false), 12.0);
+        assert!(
+            perf.neighbor_list_rebuilds < perf.neighbor_queries / 4,
+            "lists must mostly be reused ({} rebuilds, {} queries)",
+            perf.neighbor_list_rebuilds,
+            perf.neighbor_queries
+        );
+    }
+
+    #[test]
+    fn a_teleporting_mobility_model_cannot_stale_a_list() {
+        assert_lists_match_a_direct_scan(accelerating_sim(true), 12.0);
     }
 
     #[test]

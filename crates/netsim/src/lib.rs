@@ -21,6 +21,10 @@
 //! * [`grid`] — the uniform spatial grid indexing node positions; the
 //!   engine's broadcast hot path answers range queries through it instead of
 //!   scanning all nodes (see `crates/netsim/README.md` for the design).
+//! * `neighbors` (crate-private) — per-node time-bounded neighbour lists the
+//!   transmit path resolves its receiver and carrier-sense sets from; rebuilt
+//!   through the grid (or the full scan) only once worst-case motion since
+//!   the build could exceed a fixed skin.
 //! * [`radio`] — propagation / channel models (unit disk, shadowed links).
 //! * [`mac`] — a simplified IEEE 802.11 DCF MAC: carrier sense, slotted
 //!   binary-exponential backoff, receiver-side collisions, airtime accounting,
@@ -53,6 +57,7 @@ pub mod geometry;
 pub mod grid;
 pub mod mac;
 pub mod mobility;
+mod neighbors;
 pub mod node;
 pub mod radio;
 pub mod recorder;

@@ -62,12 +62,20 @@ pub enum TraceEvent {
 /// hunting (e.g. a mobility change that silently explodes rebind rates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnginePerf {
-    /// Range queries answered (broadcast receiver scans + `neighbors_of`-style
-    /// lookups).
+    /// Range queries answered: one per transmission (its receiver and busy
+    /// sets) plus one per `neighbors_of`-style lookup.
     pub neighbor_queries: u64,
-    /// Grid candidates visited across all queries (the exact-distance filter
-    /// runs once per candidate; under brute force every node is a candidate).
+    /// Grid candidates visited by index scans — neighbour-list rebuilds and
+    /// `neighbors_of`-style lookups (under brute force every node is a
+    /// candidate).
     pub candidates_scanned: u64,
+    /// Transmit-path neighbour lists (re)built by an index scan because the
+    /// motion bound since the last build passed the skin (or the node had
+    /// never transmitted).  Transmissions minus rebuilds reused a list.
+    pub neighbor_list_rebuilds: u64,
+    /// List entries near the range or carrier-sense circle that needed an
+    /// exact position evaluation during resolution.
+    pub neighbor_exact_checks: u64,
     /// Nodes rebinned into a different grid cell (leg changes + drift
     /// refreshes that crossed a cell boundary).
     pub grid_rebinds: u64,
@@ -676,6 +684,8 @@ impl Recorder {
             let p = part.engine_perf;
             perf.neighbor_queries += p.neighbor_queries;
             perf.candidates_scanned += p.candidates_scanned;
+            perf.neighbor_list_rebuilds += p.neighbor_list_rebuilds;
+            perf.neighbor_exact_checks += p.neighbor_exact_checks;
             perf.grid_rebinds += p.grid_rebinds;
             perf.grid_refreshes += p.grid_refreshes;
             perf.position_cache_hits += p.position_cache_hits;

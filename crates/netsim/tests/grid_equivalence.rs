@@ -6,13 +6,15 @@
 //! under [`NeighborIndex::BruteForce`] returns.  These tests drive both
 //! configurations through the public API over seeded random scenarios —
 //! including nodes placed exactly on the range circle — and require
-//! bit-identical results.
+//! bit-identical results.  The transmit path (receiver and carrier-sense
+//! sets resolved from per-node neighbour lists) is held to the same
+//! standard by a beaconing run under fast mobility.
 
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
 use manet_netsim::{
     Ctx, Duration, NeighborIndex, NodeStack, Position, SimConfig, SimTime, TimerToken,
 };
-use manet_wire::{NetPacket, NodeId, SharedPacket};
+use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -224,4 +226,97 @@ fn grid_runs_report_index_perf_counters() {
         brute_perf.candidates_scanned
     );
     assert!(grid_perf.position_cache_hits > 0);
+}
+
+/// A stack that broadcasts a beacon on a randomly jittered timer and logs
+/// every reception as `(time, receiver, sender, packet)`.
+struct Beacon {
+    me: NodeId,
+    sent: u64,
+    log: Rc<RefCell<Vec<(SimTime, NodeId, NodeId, u64)>>>,
+}
+
+impl NodeStack for Beacon {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        let offset = Duration::from_millis(ctx.rng().gen_range(0.0..100.0));
+        ctx.schedule_timer(offset, TimerToken(0));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+        self.sent += 1;
+        let id = (u64::from(self.me.0) << 32) | self.sent;
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 64);
+        let beacon = DataPacket::new(PacketId(id), self.me, NodeId(u16::MAX), segment);
+        ctx.send_broadcast(NetPacket::Data(beacon));
+        let period = Duration::from_millis(ctx.rng().gen_range(60.0..140.0));
+        ctx.schedule_timer(period, TimerToken(0));
+    }
+    fn on_receive(&mut self, ctx: &mut Ctx<'_>, from: NodeId, packet: SharedPacket) {
+        let NetPacket::Data(dp) = &*packet else {
+            panic!("only beacons are on the air");
+        };
+        let now = ctx.now();
+        self.log.borrow_mut().push((now, self.me, from, dp.id.0));
+    }
+    fn on_link_failure(&mut self, _ctx: &mut Ctx<'_>, _n: NodeId, _p: NetPacket) {}
+}
+
+#[test]
+fn beaconing_under_fast_mobility_hears_identically_under_both_indexes() {
+    // Fast random-waypoint motion (5–40 m/s, short pauses) makes neighbour
+    // lists expire every fraction of a second and legs change while lists
+    // are live; a 2 m slack makes the grid re-anchor nodes constantly.
+    let mut config = SimConfig::default();
+    config.num_nodes = 40;
+    config.duration = Duration::from_secs(30.0);
+    config.seed = 2024;
+    config.mobility.min_speed = 5.0;
+    config.mobility.max_speed = 40.0;
+    config.mobility.pause = Duration::from_secs(0.2);
+    config.grid_slack_m = 2.0;
+    let run = |index: NeighborIndex| {
+        let mut c = config.clone();
+        c.neighbor_index = index;
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let stacks: Vec<Box<dyn NodeStack>> = (0..c.num_nodes)
+            .map(|i| {
+                Box::new(Beacon {
+                    me: NodeId(i),
+                    sent: 0,
+                    log: Rc::clone(&log),
+                }) as Box<dyn NodeStack>
+            })
+            .collect();
+        let mobility = RandomWaypoint::new(900.0, 900.0, c.mobility);
+        let rec = manet_netsim::Simulator::new(c, Box::new(mobility), stacks).run();
+        let log = Rc::try_unwrap(log)
+            .expect("stacks dropped with the simulator")
+            .into_inner();
+        (log, rec)
+    };
+    let (grid_log, grid) = run(NeighborIndex::Grid);
+    let (brute_log, brute) = run(NeighborIndex::BruteForce);
+    assert!(
+        grid_log.len() > 10_000,
+        "only {} receptions",
+        grid_log.len()
+    );
+    assert!(grid.collisions() > 0, "the run must exercise collisions");
+    assert_eq!(grid_log, brute_log, "reception logs diverged");
+    assert_eq!(grid.collisions(), brute.collisions());
+    assert_eq!(grid.control_transmissions(), brute.control_transmissions());
+    assert_eq!(grid.data_transmissions(), brute.data_transmissions());
+    let (g, b) = (grid.engine_perf(), brute.engine_perf());
+    assert_eq!(g.neighbor_queries, b.neighbor_queries);
+    assert_eq!(g.neighbor_list_rebuilds, b.neighbor_list_rebuilds);
+    assert_eq!(g.neighbor_exact_checks, b.neighbor_exact_checks);
+    assert!(
+        g.neighbor_list_rebuilds > u64::from(config.num_nodes) * 10,
+        "lists must expire many times over the run ({} rebuilds)",
+        g.neighbor_list_rebuilds
+    );
+    assert!(
+        g.neighbor_list_rebuilds < g.neighbor_queries,
+        "some transmissions must reuse a live list"
+    );
+    assert!(g.neighbor_exact_checks > 0, "band entries get exact checks");
 }
